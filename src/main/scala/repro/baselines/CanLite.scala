@@ -1,5 +1,6 @@
 package repro.baselines
 
+import repro.core.Apmi
 import repro.graph.AttributedGraph
 import repro.linalg.{DenseMatrix, RandSvd, SparseMatrix}
 
@@ -43,23 +44,10 @@ object CanLite {
             seed: Long = 42L): Model = {
     // Symmetrize the graph (CAN cannot use direction).
     val sym = g.withEdges(g.src ++ g.dst, g.dst ++ g.src)
-    val p = sym.walkMatrix
-    val rr = sym.attrRowNorm.toDense
-    var cur = rr.copy
-    var l = 0
-    while (l < t) {
-      cur = (p * cur).zipWith(rr, (pv, bv) => (1 - alpha) * pv + alpha * bv)
-      l += 1
-    }
-    // Raw walk probabilities — deliberately no SPMI transform.
+    // APMI's forward walk distribution on the undirected graph — raw walk
+    // probabilities, deliberately no SPMI transform.
+    val (cur, _) = Apmi.propagate(sym.walkMatrix, sym.attrRowNorm, sym.attrColNorm, alpha, t, 0, g.d)
     val (u, sig, v) = RandSvd(cur, k / 2, 6, seed = seed)
-    val x = DenseMatrix.zeros(g.n, k / 2)
-    var i = 0
-    while (i < g.n) {
-      var j = 0
-      while (j < k / 2) { x(i, j) = u(i, j) * sig(j); j += 1 }
-      i += 1
-    }
-    Model(x, v)
+    Model(u.scaleCols(sig), v)
   }
 }

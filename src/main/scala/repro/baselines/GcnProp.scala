@@ -51,13 +51,6 @@ object GcnProp {
     var h = 0
     while (h < hops) { m = aHat * m; h += 1 }
     val (u, sig, _) = RandSvd(m, k, 6, seed = seed)
-    val x = DenseMatrix.zeros(g.n, k)
-    i = 0
-    while (i < g.n) {
-      var j = 0
-      while (j < k) { x(i, j) = u(i, j) * sig(j); j += 1 }
-      i += 1
-    }
-    Model(x)
+    Model(u.scaleCols(sig))
   }
 }

@@ -8,8 +8,10 @@ import repro.linalg.DenseMatrix
   * @param k        total embedding space budget (k/2 per direction)
   * @param alpha    random walk stopping probability
   * @param eps      error threshold — sets the iteration count t
-  * @param ccdIters optional override for the number of CCD sweeps
-  *                 (defaults to t, as in Algorithm 1 which reuses t)
+  * @param ccdIters optional override of Algorithm 4's t: the number of CCD
+  *                 sweeps and of RandSVD power iterations in GreedyInit /
+  *                 SMGreedyInit, in every backend (defaults to the APMI t,
+  *                 as Algorithm 1 reuses t)
   * @param seed     randomness seed (RandSVD sketches)
   */
 final case class PaneConfig(

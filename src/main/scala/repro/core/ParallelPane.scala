@@ -4,16 +4,17 @@ import java.util.concurrent.{Callable, Executors}
 import scala.jdk.CollectionConverters._
 
 import repro.graph.AttributedGraph
-import repro.linalg.{DenseMatrix, RandSvd, SparseMatrix}
+import repro.linalg.{DenseMatrix, SparseMatrix}
 
 /** Algorithms 5–8 — parallel PANE on a local thread pool, faithful to the
-  * paper's block structure:
+  * paper's block structure. The numerical steps are the sequential
+  * kernels of [[Apmi]] and [[SvdCcd]], run per block:
   *
-  *  - PAPMI (Alg 6): the affinity recurrence runs per *attribute-column*
-  *    block; results concatenate to exactly the single-thread matrices
-  *    (Lemma 4.1 — tested).
-  *  - SMGreedyInit (Alg 7): per *node-row* block RandSVD of F'[Vi], merge
-  *    of the stacked right factors, second RandSVD, then per-block
+  *  - PAPMI (Alg 6): [[Apmi.propagate]] per *attribute-column* block;
+  *    results concatenate to exactly the single-thread matrices (Lemma 4.1
+  *    — tested), then SPMI runs per node block.
+  *  - SMGreedyInit (Alg 7): [[SvdCcd.splitSvd]] per *node-row* block,
+  *    [[SvdCcd.mergeSvd]] of the stacked right factors, then per-block
   *    initialization of Xf, Xb, Sf, Sb.
   *  - PSVDCCD (Alg 8): CCD sweeps run per node block (X phase) and per
   *    attribute block (Y phase). Both phases are exactly parallel: row
@@ -46,61 +47,32 @@ object ParallelPane {
             alpha: Double, t: Int, nb: Int): (DenseMatrix, DenseMatrix) = {
     val n = p.rows
     val d = rr.cols
-    val pf0 = rr.toDense
-    val pb0 = rc.toDense
-    val attrBlocks = ranges(d, nb)
-    // Per-block iteration on column slices; concatenation is implicit: the
-    // blocks write into shared output matrices at their own column ranges
-    // (disjoint writes — no synchronization needed).
+    // Each attribute-column block runs APMI's recurrence and writes its
+    // columns into the shared matrices (disjoint writes — no
+    // synchronization needed).
     val pf = DenseMatrix.zeros(n, d)
     val pb = DenseMatrix.zeros(n, d)
-    runAll(nb, attrBlocks.map { case (from, until) =>
+    runAll(nb, ranges(d, nb).map { case (from, until) =>
       () => {
+        val (bf, bb) = Apmi.propagate(p, rr, rc, alpha, t, from, until)
         val w = until - from
-        val base0f = pf0.colSlice(from, until)
-        val base0b = pb0.colSlice(from, until)
-        var curF = base0f.copy
-        var curB = base0b.copy
-        var l = 1
-        while (l <= t) {
-          curF = (p * curF).zipWith(base0f, (pv, bv) => (1 - alpha) * pv + alpha * bv)
-          curB = p.tMul(curB).zipWith(base0b, (pv, bv) => (1 - alpha) * pv + alpha * bv)
-          l += 1
-        }
         var i = 0
         while (i < n) {
-          System.arraycopy(curF.data, i * w, pf.data, i * d + from, w)
-          System.arraycopy(curB.data, i * w, pb.data, i * d + from, w)
+          System.arraycopy(bf.data, i * w, pf.data, i * d + from, w)
+          System.arraycopy(bb.data, i * w, pb.data, i * d + from, w)
           i += 1
         }
       }
     })
     // Normalization + SPMI, parallel over node blocks (Alg 6 Lines 9-13).
     val colSumsF = pf.colSums
-    val fP = DenseMatrix.zeros(n, d)
-    val bP = DenseMatrix.zeros(n, d)
     runAll(nb, ranges(n, nb).map { case (from, until) =>
       () => {
-        var i = from
-        while (i < until) {
-          val off = i * d
-          var rowSumB = 0.0
-          var j = 0
-          while (j < d) { rowSumB += pb.data(off + j); j += 1 }
-          j = 0
-          while (j < d) {
-            val cf = colSumsF(j)
-            val hatF = if (cf > 0) pf.data(off + j) / cf else 0.0
-            val hatB = if (rowSumB > 0) pb.data(off + j) / rowSumB else 0.0
-            fP.data(off + j) = math.log(n * hatF + 1)
-            bP.data(off + j) = math.log(d * hatB + 1)
-            j += 1
-          }
-          i += 1
-        }
+        Apmi.spmiCols(pf, colSumsF, from, until)
+        Apmi.spmiRows(pb, from, until)
       }
     })
-    (fP, bP)
+    (pf, pb)
   }
 
   /** Algorithm 7 — SMGreedyInit: split-merge parallel SVD seeding. */
@@ -112,32 +84,15 @@ object ParallelPane {
     val d = f.cols
     val nodeBlocks = ranges(n, nb)
     val us = new Array[DenseMatrix](nodeBlocks.length)
-    val vs = new Array[DenseMatrix](nodeBlocks.length)
+    val vts = new Array[DenseMatrix](nodeBlocks.length)
     runAll(nb, nodeBlocks.zipWithIndex.map { case ((from, until), bi) =>
       () => {
-        val block = f.rowSlice(from, until)
-        val (u, sig, v) = RandSvd(block, half, svdIters, seed = seed + bi)
-        val ui = DenseMatrix.zeros(block.rows, half)
-        var i = 0
-        while (i < block.rows) {
-          var j = 0
-          while (j < half) { ui(i, j) = u(i, j) * sig(j); j += 1 }
-          i += 1
-        }
-        us(bi) = ui
-        vs(bi) = v.transpose // store as k/2 × d rows for stacking
+        val (u, vt) = SvdCcd.splitSvd(f.rowSlice(from, until), half, svdIters, seed, bi)
+        us(bi) = u
+        vts(bi) = vt
       }
     })
-    // Merge: V = [V1ᵀ; ...; V_nbᵀ] ∈ R^{(nb·k/2) × d}, RandSVD(V) → W, Y.
-    val stacked = DenseMatrix.vstack(vs.toSeq)
-    val (phi, sig2, y) = RandSvd(stacked, half, svdIters, seed = seed + 9999)
-    val w = DenseMatrix.zeros(stacked.rows, half)
-    var i = 0
-    while (i < stacked.rows) {
-      var j = 0
-      while (j < half) { w(i, j) = phi(i, j) * sig2(j); j += 1 }
-      i += 1
-    }
+    val (w, y) = SvdCcd.mergeSvd(vts.toSeq, half, svdIters, seed)
     // Per-block init of Xf, Xb, Sf, Sb (Alg 7 Lines 7-11).
     val xf = DenseMatrix.zeros(n, half)
     val xb = DenseMatrix.zeros(n, half)

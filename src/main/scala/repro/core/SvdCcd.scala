@@ -31,19 +31,30 @@ object SvdCcd extends Serializable {
   def greedyInit(f: DenseMatrix, b: DenseMatrix, k: Int, svdIters: Int, seed: Long = 42L): State = {
     require(k >= 2 && k % 2 == 0, s"space budget k must be even and >= 2, got $k")
     val half = k / 2
-    val (u, sig, v) = RandSvd(f, half, svdIters, seed = seed)
-    val xf = DenseMatrix.zeros(f.rows, half)
-    var i = 0
-    while (i < f.rows) {
-      var j = 0
-      while (j < half) { xf(i, j) = u(i, j) * sig(j); j += 1 }
-      i += 1
-    }
-    val y = v
+    val (u, sig, y) = RandSvd(f, half, svdIters, seed = seed)
+    val xf = u.scaleCols(sig)
     val xb = b * y
     val sf = xf.mulT(y) - f
     val sb = xb.mulT(y) - b
     State(xf, xb, y, sf, sb)
+  }
+
+  /** SMGreedyInit's split step (Algorithm 7 Lines 2–3) for node block
+    * `block`: RandSVD(F'[Vi], k/2) = U Σ Vᵀ, returned as (U·Σ, Vᵀ).
+    */
+  def splitSvd(fBlock: DenseMatrix, half: Int, svdIters: Int, seed: Long,
+               block: Int): (DenseMatrix, DenseMatrix) = {
+    val (u, sig, v) = RandSvd(fBlock, half, svdIters, seed = seed + block)
+    (u.scaleCols(sig), v.transpose)
+  }
+
+  /** SMGreedyInit's merge step (Algorithm 7 Lines 4–6): RandSVD of the
+    * stacked [V1ᵀ; …; V_nbᵀ] = Φ Σ Yᵀ, returned as (W = Φ·Σ, Y). Rows
+    * [i·k/2, (i+1)·k/2) of W belong to block i.
+    */
+  def mergeSvd(vts: Seq[DenseMatrix], half: Int, svdIters: Int, seed: Long): (DenseMatrix, DenseMatrix) = {
+    val (phi, sig, y) = RandSvd(DenseMatrix.vstack(vts), half, svdIters, seed = seed + 9999)
+    (phi.scaleCols(sig), y)
   }
 
   /** Random initialization — the PANE-R baseline of §5.7 (GreedyInit
@@ -67,57 +78,17 @@ object SvdCcd extends Serializable {
     State(xf, xb, y, xf.mulT(y) - f, xb.mulT(y) - b)
   }
 
-  /** One full CCD sweep over all node rows (Lines 3–9 of Algorithm 4):
-    * for each node vi and coordinate l, step Xf[vi,l], Xb[vi,l] along the
-    * exact coordinate minimizer and patch the residual rows in O(d).
-    * Mutates the state in place. Factored out so the parallel versions
-    * (thread-pool and Spark) can reuse it per node block.
+  /** One full CCD sweep over the node rows [rowFrom, rowUntil) (Lines 3–9
+    * of Algorithm 4): [[nodeRowUpdate]] on each row. Mutates the state in
+    * place; disjoint row ranges may run concurrently.
     */
   def nodeSweep(st: State, rowFrom: Int, rowUntil: Int): Unit = {
-    val half = st.xf.cols
+    val half = st.y.cols
     val d = st.y.rows
-    // Column norms ||Y[:,l]||² — fixed during the node phase.
-    val yColNorm = new Array[Double](half)
-    var l = 0
-    while (l < half) {
-      var s = 0.0
-      var j = 0
-      while (j < d) { val v = st.y(j, l); s += v * v; j += 1 }
-      yColNorm(l) = s
-      l += 1
-    }
+    val norms = yColNorms(st.y)
     var i = rowFrom
     while (i < rowUntil) {
-      val sfOff = i * d
-      val sbOff = i * d
-      l = 0
-      while (l < half) {
-        if (yColNorm(l) > 1e-300) {
-          // μ_f(vi,l) = Sf[vi]·Y[:,l] / ||Y[:,l]||², μ_b likewise (Eq 16)
-          var dotF = 0.0
-          var dotB = 0.0
-          var j = 0
-          while (j < d) {
-            val yv = st.y(j, l)
-            dotF += st.sf.data(sfOff + j) * yv
-            dotB += st.sb.data(sbOff + j) * yv
-            j += 1
-          }
-          val muF = dotF / yColNorm(l)
-          val muB = dotB / yColNorm(l)
-          st.xf(i, l) = st.xf(i, l) - muF
-          st.xb(i, l) = st.xb(i, l) - muB
-          // Sf[vi] -= μ_f · Y[:,l]ᵀ (Eq 18), Sb[vi] -= μ_b · Y[:,l]ᵀ (Eq 19)
-          j = 0
-          while (j < d) {
-            val yv = st.y(j, l)
-            st.sf.data(sfOff + j) -= muF * yv
-            st.sb.data(sbOff + j) -= muB * yv
-            j += 1
-          }
-        }
-        l += 1
-      }
+      nodeRowUpdate(st.xf.data, st.xb.data, i * half, st.sf.data, st.sb.data, i * d, st.y, norms)
       i += 1
     }
   }
@@ -189,36 +160,40 @@ object SvdCcd extends Serializable {
     out
   }
 
-  /** The per-node X-phase update (Alg 4 Lines 4–9) on raw row arrays —
-    * the unit of work shipped to Spark executors by SparkPane. Identical
-    * math to [[nodeSweep]] (tested for bit-equality).
+  /** The per-node X-phase update (Alg 4 Lines 4–9): for each coordinate
+    * l, step Xf[vi,l], Xb[vi,l] to the exact coordinate minimizer and patch
+    * the residual rows in O(d). The node's k/2 embedding entries start at
+    * `xOff` in `xf`/`xb`, its d residual entries at `sOff` in `sf`/`sb`.
+    * `yColNorm` is [[yColNorms]] of `y`.
     */
-  def nodeRowUpdate(xfRow: Array[Double], xbRow: Array[Double],
-                    sfRow: Array[Double], sbRow: Array[Double],
+  def nodeRowUpdate(xf: Array[Double], xb: Array[Double], xOff: Int,
+                    sf: Array[Double], sb: Array[Double], sOff: Int,
                     y: DenseMatrix, yColNorm: Array[Double]): Unit = {
-    val half = xfRow.length
+    val half = y.cols
     val d = y.rows
     var l = 0
     while (l < half) {
       if (yColNorm(l) > 1e-300) {
+        // μ_f(vi,l) = Sf[vi]·Y[:,l] / ||Y[:,l]||², μ_b likewise (Eq 16)
         var dotF = 0.0
         var dotB = 0.0
         var j = 0
         while (j < d) {
           val yv = y(j, l)
-          dotF += sfRow(j) * yv
-          dotB += sbRow(j) * yv
+          dotF += sf(sOff + j) * yv
+          dotB += sb(sOff + j) * yv
           j += 1
         }
         val muF = dotF / yColNorm(l)
         val muB = dotB / yColNorm(l)
-        xfRow(l) -= muF
-        xbRow(l) -= muB
+        xf(xOff + l) -= muF
+        xb(xOff + l) -= muB
+        // Sf[vi] -= μ_f · Y[:,l]ᵀ (Eq 18), Sb[vi] -= μ_b · Y[:,l]ᵀ (Eq 19)
         j = 0
         while (j < d) {
           val yv = y(j, l)
-          sfRow(j) -= muF * yv
-          sbRow(j) -= muB * yv
+          sf(sOff + j) -= muF * yv
+          sb(sOff + j) -= muB * yv
           j += 1
         }
       }

@@ -133,6 +133,18 @@ final class DenseMatrix(val rows: Int, val cols: Int, val data: Array[Double]) e
 
   def scale(s: Double): DenseMatrix = map(_ * s)
 
+  /** this·diag(s): column j scaled by s(j) — e.g. U·Σ of an SVD. */
+  def scaleCols(s: Array[Double]): DenseMatrix = {
+    val out = DenseMatrix.zeros(rows, cols)
+    var i = 0
+    while (i < rows) {
+      var j = 0
+      while (j < cols) { out(i, j) = this(i, j) * s(j); j += 1 }
+      i += 1
+    }
+    out
+  }
+
   /** Frobenius norm. */
   def frobenius: Double = {
     var s = 0.0
@@ -245,25 +257,6 @@ object DenseMatrix {
     blocks.foreach { b =>
       System.arraycopy(b.data, 0, out.data, off, b.data.length)
       off += b.data.length
-    }
-    out
-  }
-
-  /** Horizontal concatenation. */
-  def hstack(blocks: Seq[DenseMatrix]): DenseMatrix = {
-    require(blocks.nonEmpty)
-    val r = blocks.head.rows
-    require(blocks.forall(_.rows == r), "hstack: row mismatch")
-    val c = blocks.map(_.cols).sum
-    val out = zeros(r, c)
-    var i = 0
-    while (i < r) {
-      var off = 0
-      blocks.foreach { b =>
-        System.arraycopy(b.data, i * b.cols, out.data, i * c + off, b.cols)
-        off += b.cols
-      }
-      i += 1
     }
     out
   }

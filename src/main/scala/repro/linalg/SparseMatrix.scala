@@ -19,13 +19,20 @@ final class SparseMatrix(
 
   def nnz: Int = values.length
 
-  /** Dense materialization — test/debug use only. */
-  def toDense: DenseMatrix = {
-    val m = DenseMatrix.zeros(rows, cols)
+  /** Dense materialization. */
+  def toDense: DenseMatrix = denseCols(0, cols)
+
+  /** Dense materialization of the columns [from, until). */
+  def denseCols(from: Int, until: Int): DenseMatrix = {
+    val m = DenseMatrix.zeros(rows, until - from)
     var i = 0
     while (i < rows) {
       var p = rowPtr(i)
-      while (p < rowPtr(i + 1)) { m(i, colIdx(p)) = m(i, colIdx(p)) + values(p); p += 1 }
+      while (p < rowPtr(i + 1)) {
+        val c = colIdx(p)
+        if (c >= from && c < until) m(i, c - from) = m(i, c - from) + values(p)
+        p += 1
+      }
       i += 1
     }
     m

@@ -3,31 +3,34 @@ package repro.spark
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.storage.StorageLevel
 
-import repro.core.{Apmi, Embeddings, PaneConfig, SvdCcd}
+import repro.core.{Apmi, Embeddings, PaneConfig, ParallelPane, SvdCcd}
 import repro.graph.AttributedGraph
-import repro.linalg.{DenseMatrix, RandSvd, SparseMatrix}
+import repro.linalg.DenseMatrix
 
 /** Distributed-dataflow PANE (the paper's Section 4, with Spark partitions
-  * playing the role of threads).
+  * playing the role of threads). Every numerical step is a shared kernel
+  * of `repro.core`; this object only slices the data and schedules them.
   *
   *  - **PAPMI** (Alg 6): attribute-column blocks are the unit of
-  *    parallelism. The sparse walk matrix P is broadcast (the dataflow
-  *    analog of the paper's shared memory); each task runs the affinity
-  *    recurrence for its column slice locally, finalizes F' in-block
-  *    (column normalization is block-local), and the per-node row stitch +
-  *    row normalization of B' happens in a groupByKey over nodes.
+  *    parallelism. The sparse walk matrix P and Rr, Rc are broadcast (the
+  *    dataflow analog of the paper's shared memory); each task runs
+  *    [[Apmi.propagate]] on its column block and finalizes F' in-block
+  *    with [[Apmi.spmiCols]] (its normalizer is a column sum). A
+  *    groupByKey over nodes stitches each node's rows and applies
+  *    [[Apmi.spmiRows]] to the full B' row.
   *  - **SMGreedyInit** (Alg 7): node-row blocks are the unit of
-  *    parallelism; per-partition RandSVD of F'[Vi], small merge SVD on the
-  *    driver, per-row initialization of Xf, Xb, Sf, Sb on executors.
-  *  - **PSVDCCD** (Alg 8): the X phase is a per-row map (exactly
-  *    [[SvdCcd.nodeRowUpdate]]); the Y phase is replayed *exactly* on the
+  *    parallelism; [[SvdCcd.splitSvd]] per partition, [[SvdCcd.mergeSvd]]
+  *    on the driver, per-row initialization of Xf, Xb, Sf, Sb on executors.
+  *  - **PSVDCCD** (Alg 8): the X phase is a per-row map of
+  *    [[SvdCcd.nodeRowUpdate]]; the Y phase is replayed *exactly* on the
   *    driver from aggregated small matrices Gf = XfᵀSf, Gb = XbᵀSb,
   *    Hf = XfᵀXf, Hb = XbᵀXb — see DESIGN.md §2 for the derivation — and
   *    the resulting ΔY is pushed back as a residual patch
   *    Sf ← Sf − Xf·ΔYᵀ at the start of the next map.
   *
-  * The result matches the thread-pool ParallelPane up to floating-point
-  * summation order (tested).
+  * Block boundaries and seeds are those of [[ParallelPane]], so the result
+  * matches it element by element up to floating-point summation order
+  * (tested within 1e-9 of the largest entry).
   */
 object SparkPane extends Serializable {
 
@@ -44,12 +47,6 @@ object SparkPane extends Serializable {
     * encoder codegen requires accessible case-class accessors).
     */
   final case class Slice(id: Int, block: Int, f: Array[Double], pbRow: Array[Double])
-
-  /** Contiguous near-equal ranges — shared with ParallelPane so block
-    * boundaries (and therefore SVD seeds) line up between the two.
-    */
-  private def ranges(size: Int, nb: Int): Seq[(Int, Int)] =
-    repro.core.ParallelPane.ranges(size, nb)
 
   private def blockOf(id: Int, bounds: Array[Int]): Int = {
     // bounds = exclusive upper bounds of each range, ascending
@@ -72,76 +69,29 @@ object SparkPane extends Serializable {
     val bcP = sc.broadcast(g.walkMatrix)
     val bcRr = sc.broadcast(g.attrRowNorm)
     val bcRc = sc.broadcast(g.attrColNorm)
-    val colBlocks = ranges(d, math.max(nb, math.min(d, sc.defaultParallelism * 2)))
-    val nodeBounds = ranges(n, nb).map(_._2).toArray
+    val colBlocks = ParallelPane.ranges(d, math.max(nb, math.min(d, sc.defaultParallelism * 2)))
+    val nodeBounds = ParallelPane.ranges(n, nb).map(_._2).toArray
 
     val slices = spark.createDataset(colBlocks.zipWithIndex)
       .repartition(colBlocks.length)
       .flatMap { case ((from, until), bi) =>
-        val p = bcP.value
-        val w = until - from
-        // Dense column slices of Rr / Rc restricted to [from, until).
-        def slice(m: SparseMatrix): DenseMatrix = {
-          val out = DenseMatrix.zeros(n, w)
-          var i = 0
-          while (i < n) {
-            var q = m.rowPtr(i)
-            while (q < m.rowPtr(i + 1)) {
-              val c = m.colIdx(q)
-              if (c >= from && c < until) out(i, c - from) = out(i, c - from) + m.values(q)
-              q += 1
-            }
-            i += 1
-          }
-          out
-        }
-        val pf0 = slice(bcRr.value)
-        val pb0 = slice(bcRc.value)
-        var pf = pf0.copy
-        var pb = pb0.copy
-        var l = 1
-        while (l <= t) {
-          pf = (p * pf).zipWith(pf0, (pv, bv) => (1 - alpha) * pv + alpha * bv)
-          pb = p.tMul(pb).zipWith(pb0, (pv, bv) => (1 - alpha) * pv + alpha * bv)
-          l += 1
-        }
+        val (pf, pb) = Apmi.propagate(bcP.value, bcRr.value, bcRc.value, alpha, t, from, until)
         // F' is finalized in-block: its normalizer is a column sum.
-        val cs = pf.colSums
-        val fP = DenseMatrix.zeros(n, w)
-        var i = 0
-        while (i < n) {
-          var j = 0
-          while (j < w) {
-            val s = cs(j)
-            val hat = if (s > 0) pf(i, j) / s else 0.0
-            fP(i, j) = math.log(n * hat + 1)
-            j += 1
-          }
-          i += 1
-        }
-        (0 until n).iterator.map(id => Slice(id, bi, fP.row(id), pb.row(id)))
+        Apmi.spmiCols(pf, pf.colSums, 0, n)
+        (0 until n).iterator.map(id => Slice(id, bi, pf.row(id), pb.row(id)))
       }
 
     val widths = colBlocks.map { case (f, u) => u - f }.toArray
     val offsets = widths.scanLeft(0)(_ + _)
     slices.groupByKey(_.id).mapGroups { (id, it) =>
       val f = new Array[Double](d)
-      val pbRow = new Array[Double](d)
+      val b = new Array[Double](d)
       it.foreach { s =>
         System.arraycopy(s.f, 0, f, offsets(s.block), s.f.length)
-        System.arraycopy(s.pbRow, 0, pbRow, offsets(s.block), s.pbRow.length)
+        System.arraycopy(s.pbRow, 0, b, offsets(s.block), s.pbRow.length)
       }
       // B' needs the full row: row-normalize then SPMI (Alg 2 Lines 7-8).
-      var rs = 0.0
-      var j = 0
-      while (j < d) { rs += pbRow(j); j += 1 }
-      val b = new Array[Double](d)
-      j = 0
-      while (j < d) {
-        val hat = if (rs > 0) pbRow(j) / rs else 0.0
-        b(j) = math.log(d * hat + 1)
-        j += 1
-      }
+      Apmi.spmiRows(new DenseMatrix(1, d, b), 0, 1)
       AffRow(id, blockOf(id, nodeBounds), f, b)
     }
   }
@@ -163,9 +113,10 @@ object SparkPane extends Serializable {
     val half = cfg.k / 2
     val n = g.n
     val d = g.d
-    val t = cfg.t
+    // Algorithm 4's single t: RandSVD's power iterations and the CCD sweeps.
+    val iters = cfg.refineIters
 
-    val aff = papmi(g, cfg.alpha, t, nb, spark)
+    val aff = papmi(g, cfg.alpha, cfg.t, nb, spark)
       .repartition(nb, $"part")
       .persist(StorageLevel.MEMORY_AND_DISK)
 
@@ -173,31 +124,17 @@ object SparkPane extends Serializable {
     val stage1 = aff.mapPartitions { rows =>
       rows.toSeq.groupBy(_.part).iterator.flatMap { case (part, group) =>
         val sorted = group.sortBy(_.id)
-        val fBlock = DenseMatrix.fromRows(sorted.map(_.f))
-        val (u, sig, v) = RandSvd(fBlock, half, t, seed = cfg.seed + part)
-        val vt = v.transpose // half × d
+        val (u, vt) = SvdCcd.splitSvd(DenseMatrix.fromRows(sorted.map(_.f)), half, iters, cfg.seed, part)
         sorted.iterator.zipWithIndex.map { case (r, i) =>
-          val uRow = new Array[Double](half)
-          var j = 0
-          while (j < half) { uRow(j) = u(i, j) * sig(j); j += 1 }
-          Stage1(r.id, part, r.f, r.b, uRow, if (i == 0) vt.data else null)
+          Stage1(r.id, part, r.f, r.b, u.row(i), if (i == 0) vt.data else null)
         }
       }
     }.persist(StorageLevel.MEMORY_AND_DISK)
 
     // ---- merge SVD on the driver (Alg 7 Lines 4-6) ----------------------
     val viByPart = stage1.filter(_.vi != null).map(s => (s.part, s.vi)).collect().sortBy(_._1)
-    val stacked = DenseMatrix.vstack(viByPart.map { case (_, data) => new DenseMatrix(half, d, data) }.toSeq)
-    val (phi, sig2, y0) = RandSvd(stacked, half, t, seed = cfg.seed + 9999)
-    val w = DenseMatrix.zeros(stacked.rows, half)
-    locally {
-      var i = 0
-      while (i < stacked.rows) {
-        var j = 0
-        while (j < half) { w(i, j) = phi(i, j) * sig2(j); j += 1 }
-        i += 1
-      }
-    }
+    val (w, y0) = SvdCcd.mergeSvd(
+      viByPart.map { case (_, data) => new DenseMatrix(half, d, data) }.toSeq, half, iters, cfg.seed)
     // Parts may be non-contiguous ids if some blocks were empty; map part -> W slice.
     val partIndex = viByPart.map(_._1).zipWithIndex.toMap
     val bcW = sc.broadcast(w)
@@ -247,7 +184,6 @@ object SparkPane extends Serializable {
     // ---- PSVDCCD iterations --------------------------------------------
     var y = y0
     var pendingDelta: DenseMatrix = null
-    val iters = cfg.refineIters
     var it = 0
     while (it < iters) {
       val bcY = sc.broadcast(y)
@@ -277,7 +213,7 @@ object SparkPane extends Serializable {
               j += 1
             }
           }
-          SvdCcd.nodeRowUpdate(row.xf, row.xb, row.sf, row.sb, yv, yColNorm)
+          SvdCcd.nodeRowUpdate(row.xf, row.xb, 0, row.sf, row.sb, 0, yv, yColNorm)
           row
         }
       }.persist(StorageLevel.MEMORY_AND_DISK)
@@ -375,37 +311,5 @@ object SparkPane extends Serializable {
       b.setRow(r.id, r.b)
     }
     (f, b)
-  }
-
-  /** One step of P·X as a pure DataFrame join-aggregate — the GraphX-style
-    * message-passing formulation of the recurrence, kept as the dataflow
-    * path for graphs too large to broadcast and cross-checked against the
-    * local sparse kernel in tests.
-    *
-    * @param walk  DataFrame (src, dst, w) of P
-    * @param x     DataFrame (id, vec) with vec: Array[Double]
-    */
-  def propagateStep(walk: org.apache.spark.sql.DataFrame,
-                    x: org.apache.spark.sql.DataFrame,
-                    spark: SparkSession): org.apache.spark.sql.DataFrame = {
-    import spark.implicits._
-    val edges = walk.as[(Int, Int, Double)]
-    val vecs = x.as[(Int, Array[Double])]
-    edges.joinWith(vecs, edges("dst") === vecs("id"))
-      .map { case ((src, _, wgt), (_, vec)) =>
-        val out = new Array[Double](vec.length)
-        var i = 0
-        while (i < vec.length) { out(i) = wgt * vec(i); i += 1 }
-        (src, out)
-      }
-      .groupByKey(_._1)
-      .reduceGroups { (a, b) =>
-        val v = a._2
-        var i = 0
-        while (i < v.length) { v(i) += b._2(i); i += 1 }
-        a
-      }
-      .map { case (id, (_, vec)) => (id, vec) }
-      .toDF("id", "vec")
   }
 }

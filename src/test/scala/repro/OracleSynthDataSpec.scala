@@ -2,76 +2,27 @@ package repro
 
 import org.apache.spark.sql.functions._
 
-/** Exercises the provided SynthData TPC-H-lite generators against the
-  * DuckDB oracle — keeps the correctness harness itself honest (a broken
-  * canonicalization or insertion path would silently weaken every other
-  * oracle test).
+/** Self-tests of the DuckDB oracle on the graph DataFrames — keeps the
+  * correctness harness itself honest (a broken canonicalization or
+  * insertion path would silently weaken every other oracle test).
   */
 class OracleSynthDataSpec extends SparkSpec {
 
-  private val sf = 0.001
-
-  /** Oracle stores VARCHAR columns; DateType rows additionally fail to
-    * decode in collect() on this Spark build, so stringify dates up front.
-    */
-  private def stringifyDates(df: org.apache.spark.sql.DataFrame): org.apache.spark.sql.DataFrame =
-    df.schema.fields.filter(_.dataType.typeName == "date").foldLeft(df) {
-      (d, f) => d.withColumn(f.name, col(f.name).cast("string"))
-    }
-
-  test("lineitem aggregate query matches DuckDB") {
-    val li = stringifyDates(SynthData.lineitem(spark, sf))
-    val q = li.groupBy(col("l_returnflag"))
-      .agg(count(lit(1)) as "cnt", round(sum(col("l_quantity")), 3) as "qty")
-    Oracle.assertEquivalent(q,
-      """SELECT l_returnflag, count(*) AS cnt,
-        |       round(sum(l_quantity::DOUBLE), 3) AS qty
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
-  }
-
-  test("orders/customer join count matches DuckDB") {
-    val o = stringifyDates(SynthData.orders(spark, sf))
-    val c = SynthData.customer(spark, sf)
-    val q = o.join(c, o("o_custkey") === c("c_custkey"))
-      .groupBy(col("c_mktsegment")).agg(count(lit(1)) as "cnt")
-    Oracle.assertEquivalent(q,
-      """SELECT c_mktsegment, count(*) AS cnt
-        |FROM orders JOIN customer ON o_custkey = c_custkey
-        |GROUP BY c_mktsegment""".stripMargin,
-      "orders" -> o, "customer" -> c)
-  }
-
-  test("part filter + projection matches DuckDB") {
-    val p = SynthData.part(spark, sf)
-    val q = p.filter(col("p_size") > 25)
-      .groupBy(col("p_type")).agg(count(lit(1)) as "cnt")
-    Oracle.assertEquivalent(q,
-      "SELECT p_type, count(*) AS cnt FROM part WHERE p_size::INT > 25 GROUP BY p_type",
-      "part" -> p)
-  }
-
-  test("zipf keys are skewed, uniform keys are not") {
-    val z = SynthData.zipfKeys(spark, 20000, 1000).groupBy("k").count()
-      .orderBy(desc("count")).limit(1).collect()(0).getLong(1)
-    val u = SynthData.uniformKeys(spark, 20000, 1000).groupBy("k").count()
-      .orderBy(desc("count")).limit(1).collect()(0).getLong(1)
-    assert(z > u * 3, s"zipf max bucket $z should dwarf uniform max bucket $u")
-  }
+  private lazy val g = Fixtures.tiny
 
   test("oracle catches wrong results (self-test)") {
-    val li = stringifyDates(SynthData.lineitem(spark, sf))
-    val wrong = li.agg((count(lit(1)) + 1) as "cnt") // off by one
+    val edges = g.edgeDF(spark)
+    val wrong = edges.agg((count(lit(1)) + 1) as "cnt") // off by one
     assertThrows[IllegalArgumentException] {
-      Oracle.assertEquivalent(wrong, "SELECT count(*) AS cnt FROM lineitem", "lineitem" -> li)
+      Oracle.assertEquivalent(wrong, "SELECT count(*) AS cnt FROM edges", "edges" -> edges)
     }
   }
 
   test("oracle catches column-name mismatches (self-test)") {
-    val li = stringifyDates(SynthData.lineitem(spark, sf))
-    val q = li.agg(count(lit(1)) as "wrong_name")
+    val attrs = g.attrDF(spark)
+    val q = attrs.agg(count(lit(1)) as "wrong_name")
     assertThrows[IllegalArgumentException] {
-      Oracle.assertEquivalent(q, "SELECT count(*) AS cnt FROM lineitem", "lineitem" -> li)
+      Oracle.assertEquivalent(q, "SELECT count(*) AS cnt FROM attrs", "attrs" -> attrs)
     }
   }
 }

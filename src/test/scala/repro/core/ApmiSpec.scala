@@ -75,16 +75,20 @@ class ApmiSpec extends AnyFunSuite {
   }
 
   test("normalized P-hat matrices are column-/row-stochastic") {
+    // Invert the SPMI shift: P̂_f = (exp(F') − 1)/n, P̂_b = (exp(B') − 1)/d.
     val res = Apmi.run(g, alpha, t = 6)
-    res.pf.colSums.foreach(s => assert(math.abs(s - 1.0) < 1e-12))
-    res.pb.rowSums.foreach(s => assert(math.abs(s - 1.0) < 1e-12))
+    res.fPrime.map(x => (math.exp(x) - 1) / g.n).colSums.foreach(s => assert(math.abs(s - 1.0) < 1e-12))
+    res.bPrime.map(x => (math.exp(x) - 1) / g.d).rowSums.foreach(s => assert(math.abs(s - 1.0) < 1e-12))
   }
 
   test("F' equals log(n * P-hat + 1) exactly") {
     val res = Apmi.run(g, alpha, t = 6)
+    val (pf, pb) = Apmi.truncatedDistributions(g, alpha, t = 6)
+    val cs = pf.colSums
+    val rs = pb.rowSums
     for (i <- 0 until g.n; j <- 0 until g.d) {
-      assert(math.abs(res.fPrime(i, j) - math.log(g.n * res.pf(i, j) + 1)) < 1e-12)
-      assert(math.abs(res.bPrime(i, j) - math.log(g.d * res.pb(i, j) + 1)) < 1e-12)
+      assert(math.abs(res.fPrime(i, j) - math.log(g.n * (pf(i, j) / cs(j)) + 1)) < 1e-12)
+      assert(math.abs(res.bPrime(i, j) - math.log(g.d * (pb(i, j) / rs(i)) + 1)) < 1e-12)
     }
   }
 

@@ -26,11 +26,14 @@ class ParallelPaneSpec extends AnyFunSuite {
   }
 
   test("Lemma 4.1: PAPMI returns exactly the single-thread affinity matrices") {
-    val single = Apmi.run(g, alpha, t)
-    for (nb <- Seq(1, 2, 4, 7)) {
-      val (f, b) = ParallelPane.papmi(g.walkMatrix, g.attrRowNorm, g.attrColNorm, alpha, t, nb)
-      assert((f - single.fPrime).maxAbs < 1e-12, s"F' mismatch at nb=$nb")
-      assert((b - single.bPrime).maxAbs < 1e-12, s"B' mismatch at nb=$nb")
+    // figure1NoAttrs has attribute-less nodes: the SPMI zero-sum branch.
+    for (gr <- Seq(g, Fixtures.figure1NoAttrs)) {
+      val single = Apmi.run(gr, alpha, t)
+      for (nb <- Seq(1, 2, 4, 7, gr.d + 1)) {
+        val (f, b) = ParallelPane.papmi(gr.walkMatrix, gr.attrRowNorm, gr.attrColNorm, alpha, t, nb)
+        assert((f - single.fPrime).maxAbs == 0.0, s"F' mismatch on ${gr.name} at nb=$nb")
+        assert((b - single.bPrime).maxAbs == 0.0, s"B' mismatch on ${gr.name} at nb=$nb")
+      }
     }
   }
 

@@ -102,7 +102,7 @@ class SvdCcdSpec extends AnyFunSuite {
     for (i <- 0 until aff.fPrime.rows) {
       val xf = st2.xf.row(i); val xb = st2.xb.row(i)
       val sf = st2.sf.row(i); val sb = st2.sb.row(i)
-      SvdCcd.nodeRowUpdate(xf, xb, sf, sb, st2.y, norms)
+      SvdCcd.nodeRowUpdate(xf, xb, 0, sf, sb, 0, st2.y, norms)
       st2.xf.setRow(i, xf); st2.xb.setRow(i, xb)
       st2.sf.setRow(i, sf); st2.sb.setRow(i, sb)
     }

@@ -107,21 +107,6 @@ class DenseMatrixSpec extends AnyFunSuite with PropSupport {
     assert(v.rows == 3 && v.row(2).toSeq == Seq(5.0, 6.0))
   }
 
-  test("hstack concatenates columns in order") {
-    val a = new DenseMatrix(2, 1, Array(1.0, 3.0))
-    val b = new DenseMatrix(2, 2, Array(2.0, 9.0, 4.0, 8.0))
-    val h = DenseMatrix.hstack(Seq(a, b))
-    assert(h.cols == 3 && h.row(0).toSeq == Seq(1.0, 2.0, 9.0))
-    assert(h.row(1).toSeq == Seq(3.0, 4.0, 8.0))
-  }
-
-  test("hstack then colSlice recovers the block") {
-    val a = DenseMatrix.randn(4, 3, 10L)
-    val b = DenseMatrix.randn(4, 2, 11L)
-    val h = DenseMatrix.hstack(Seq(a, b))
-    assert((h.colSlice(3, 5) - b).maxAbs == 0.0)
-  }
-
   test("frobenius matches manual computation") {
     val a = new DenseMatrix(1, 2, Array(3.0, 4.0))
     assert(math.abs(a.frobenius - 5.0) < 1e-12)

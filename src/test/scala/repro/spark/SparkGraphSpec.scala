@@ -3,6 +3,7 @@ package repro.spark
 import org.apache.spark.sql.functions._
 import repro.{Fixtures, Oracle, SparkSpec}
 import repro.graph.Datasets
+import repro.linalg.SparseMatrix
 
 class SparkGraphSpec extends SparkSpec {
 
@@ -36,50 +37,24 @@ class SparkGraphSpec extends SparkSpec {
       "attrs" -> attrs)
   }
 
-  test("walkEdges matches the local walk matrix exactly") {
-    val local = g.walkMatrix
-    val rows = SparkGraph.walkEdges(g, spark).collect()
-    assert(rows.length == local.nnz)
-    rows.foreach { r =>
-      val (src, dst, w) = (r.getInt(0), r.getInt(1), r.getDouble(2))
-      val dense = local.toDense
-      assert(math.abs(dense(src, dst) - w) < 1e-12, s"P[$src,$dst]")
-    }
-  }
-
-  test("walkEdges rows are stochastic (DataFrame aggregation)") {
-    val sums = SparkGraph.walkEdges(g, spark).groupBy("src").agg(sum("w") as "s").collect()
-    assert(sums.length == g.n)
-    sums.foreach(r => assert(math.abs(r.getDouble(1) - 1.0) < 1e-9))
-  }
-
-  test("walkEdges adds self-loops for dangling nodes") {
-    val gd = Fixtures.figure1NoAttrs
-    val rows = SparkGraph.walkEdges(gd, spark).collect()
-    assert(rows.exists(r => r.getInt(0) == 5 && r.getInt(1) == 5 && r.getDouble(2) == 1.0))
+  /** A sparse matrix's entries as a DataFrame (node, attr, w). */
+  private def entries(m: SparseMatrix) = {
+    import spark.implicits._
+    (0 until m.rows).flatMap { i =>
+      (m.rowPtr(i) until m.rowPtr(i + 1)).map(p => (i, m.colIdx(p), m.values(p)))
+    }.toDF("node", "attr", "w")
   }
 
   test("attrRowNorm matches the DuckDB window-normalization query") {
-    val attrs = g.attrDF(spark)
-    val rr = SparkGraph.attrRowNorm(g, spark)
-    Oracle.assertEquivalent(rr,
+    Oracle.assertEquivalent(entries(g.attrRowNorm),
       "SELECT node, attr, weight::DOUBLE / sum(weight::DOUBLE) OVER (PARTITION BY node) AS w FROM attrs",
-      "attrs" -> attrs)
+      "attrs" -> g.attrDF(spark))
   }
 
   test("attrColNorm matches the DuckDB window-normalization query") {
-    val attrs = g.attrDF(spark)
-    val rc = SparkGraph.attrColNorm(g, spark)
-    Oracle.assertEquivalent(rc,
+    Oracle.assertEquivalent(entries(g.attrColNorm),
       "SELECT node, attr, weight::DOUBLE / sum(weight::DOUBLE) OVER (PARTITION BY attr) AS w FROM attrs",
-      "attrs" -> attrs)
-  }
-
-  test("attrRowNorm agrees with the local sparse normalization") {
-    val local = g.attrRowNorm.toDense
-    SparkGraph.attrRowNorm(g, spark).collect().foreach { r =>
-      assert(math.abs(local(r.getInt(0), r.getInt(1)) - r.getDouble(2)) < 1e-12)
-    }
+      "attrs" -> g.attrDF(spark))
   }
 
   test("Table 3 stats run for a catalog dataset") {

@@ -4,7 +4,6 @@ import org.apache.spark.sql.SparkSession
 import repro.{Fixtures, SparkSpec}
 import repro.core.{Apmi, Pane, PaneConfig, ParallelPane, SvdCcd}
 import repro.eval.Tasks
-import repro.linalg.DenseMatrix
 
 class SparkPaneSpec extends SparkSpec {
 
@@ -15,11 +14,16 @@ class SparkPaneSpec extends SparkSpec {
   private val k = 16
 
   test("distributed PAPMI equals single-thread APMI (Lemma 4.1 on partitions)") {
-    val single = Apmi.run(g, alpha, t)
-    val aff = SparkPane.papmi(g, alpha, t, nb = 4, spark)
-    val (f, b) = SparkPane.collectAffinity(aff, g.n, g.d)
-    assert((f - single.fPrime).maxAbs < 1e-10)
-    assert((b - single.bPrime).maxAbs < 1e-10)
+    // figure1NoAttrs has attribute-less nodes: the SPMI zero-sum branch.
+    for (gr <- Seq(g, Fixtures.figure1NoAttrs)) {
+      val single = Apmi.run(gr, alpha, t)
+      for (nb <- Seq(4, gr.d + 1)) {
+        val aff = SparkPane.papmi(gr, alpha, t, nb, spark)
+        val (f, b) = SparkPane.collectAffinity(aff, gr.n, gr.d)
+        assert((f - single.fPrime).maxAbs == 0.0, s"F' mismatch on ${gr.name} at nb=$nb")
+        assert((b - single.bPrime).maxAbs == 0.0, s"B' mismatch on ${gr.name} at nb=$nb")
+      }
+    }
   }
 
   test("distributed PAPMI covers all n nodes including attribute-poor ones") {
@@ -28,34 +32,21 @@ class SparkPaneSpec extends SparkSpec {
     assert(aff.count() == gd.n)
   }
 
-  test("propagateStep (join-aggregate dataflow) equals the local sparse product") {
-    import spark.implicits._
-    val p = g.walkMatrix
-    val x = DenseMatrix.randn(g.n, 4, 3L)
-    val xDF = (0 until g.n).map(i => (i, x.row(i))).toDF("id", "vec")
-    val walk = SparkGraph.walkEdges(g, spark)
-    val result = SparkPane.propagateStep(walk, xDF, spark).collect()
-    val expected = p * x
-    // Only nodes with at least one out-entry appear; check values.
-    result.foreach { r =>
-      val id = r.getInt(0)
-      val vec = r.getSeq[Double](1)
-      for (j <- 0 until 4) assert(math.abs(vec(j) - expected(id, j)) < 1e-9)
-    }
-    assert(result.length == g.n) // every node has an out-entry (self-loop for dangling)
-  }
-
   test("distributed embed matches the thread-pool ParallelPane closely") {
-    val cfg = PaneConfig(k = k, alpha = alpha, eps = 0.015)
     val nb = 4
-    val local = ParallelPane.embed(g, cfg, nb)
-    val dist = SparkPane.embed(g, cfg, Some(nb))
-    val aff = Apmi.run(g, cfg.alpha, cfg.t)
-    val ol = SvdCcd.objective(aff.fPrime, aff.bPrime, local)
-    val od = SvdCcd.objective(aff.fPrime, aff.bPrime, dist)
-    // Same block structure and seeds; only fp summation order differs in
-    // the Y-phase aggregates, so objectives should be nearly identical.
-    assert(math.abs(ol - od) / ol < 0.02, s"objectives differ: local $ol vs dist $od")
+    for (ccdIters <- Seq(None, Some(1))) {
+      val cfg = PaneConfig(k = k, alpha = alpha, eps = 0.015, ccdIters = ccdIters)
+      val local = ParallelPane.embed(g, cfg, nb)
+      val dist = SparkPane.embed(g, cfg, Some(nb))
+      // Same kernels, block structure and seeds; only fp summation order
+      // differs (Spark's Y-phase aggregates and per-row init).
+      for ((name, a, b) <- Seq(("Xf", local.xf, dist.xf), ("Xb", local.xb, dist.xb), ("Y", local.y, dist.y)))
+        assert((a - b).maxAbs <= 1e-9 * a.maxAbs, s"$name differs at ccdIters=$ccdIters")
+      val aff = Apmi.run(g, cfg.alpha, cfg.t)
+      val ol = SvdCcd.objective(aff.fPrime, aff.bPrime, local)
+      val od = SvdCcd.objective(aff.fPrime, aff.bPrime, dist)
+      assert(math.abs(ol - od) / ol < 0.02, s"objectives differ: local $ol vs dist $od")
+    }
   }
 
   test("distributed embed quality: attribute inference on par with single-thread") {
