@@ -16,10 +16,14 @@ import repro.linalg.{DenseMatrix, SparseMatrix}
   *  - SMGreedyInit (Alg 7): [[SvdCcd.splitSvd]] per *node-row* block,
   *    [[SvdCcd.mergeSvd]] of the stacked right factors, then per-block
   *    initialization of Xf, Xb, Sf, Sb.
-  *  - PSVDCCD (Alg 8): CCD sweeps run per node block (X phase) and per
-  *    attribute block (Y phase). Both phases are exactly parallel: row
-  *    updates touch disjoint rows of Xf/Xb/Sf/Sb, and with Xf, Xb fixed a
-  *    Y[rj,·] update only touches column rj of Sf/Sb.
+  *  - PSVDCCD (Alg 8): CCD sweeps run per node block (X phase,
+  *    [[SvdCcd.nodeSweep]]) and per attribute block (Y phase,
+  *    [[SvdCcd.attrSweep]], the Gram replay on the block's columns). Both
+  *    phases are exactly parallel: row updates touch disjoint rows of
+  *    Xf/Xb/Sf/Sb, and with Xf, Xb fixed a Y[rj,·] update only touches
+  *    column rj of Sf/Sb. Each attribute block reads contiguous row
+  *    segments and sums its Grams over the nodes in one fixed order, so
+  *    the result is bit-identical to [[SvdCcd.run]] for every nb.
   */
 object ParallelPane {
 

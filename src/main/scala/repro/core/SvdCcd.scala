@@ -13,6 +13,11 @@ final case class Embeddings(xf: DenseMatrix, xb: DenseMatrix, y: DenseMatrix) {
 /** Algorithms 3–4 — joint factorization of F', B' via greedy SVD seeding
   * followed by cyclic coordinate descent with dynamically maintained
   * residuals Sf = Xf·Yᵀ − F', Sb = Xb·Yᵀ − B'.
+  *
+  * The CCD kernels all read the n × d residuals along rows: the X phase is
+  * [[nodeRowUpdate]] per node, and the Y phase is the Gram replay of
+  * DESIGN.md §2 — [[gramRow]] per node, [[replayY]] on the k/2 × d Grams,
+  * [[patchRow]] per node. Every backend schedules these same kernels.
   */
 object SvdCcd extends Serializable {
 
@@ -94,54 +99,129 @@ object SvdCcd extends Serializable {
   }
 
   /** One full CCD sweep over attribute rows of Y (Lines 10–14 of
-    * Algorithm 4), for attributes [attrFrom, attrUntil). Mutates in place.
+    * Algorithm 4), for attributes [attrFrom, attrUntil), as the Gram replay
+    * of DESIGN.md §2: [[gramRow]] over every node, [[replayY]], then
+    * [[patchRow]] over every node. Mutates in place; Sf, Sb stay consistent.
     *
-    * Safe to run concurrently for disjoint attribute ranges: with Xf, Xb
-    * fixed, updating Y[rj,·] only reads/writes column rj of Sf/Sb.
+    * Disjoint attribute ranges may run concurrently, and the result does
+    * not depend on how [0, d) is split: a Y[rj,·] update only touches
+    * column rj of Sf/Sb, and every range sums its Grams in node order.
     */
   def attrSweep(st: State, attrFrom: Int, attrUntil: Int): Unit = {
     val half = st.y.cols
     val n = st.xf.rows
     val d = st.y.rows
-    // Column norms ||Xf[:,l]||² + ||Xb[:,l]||² — fixed during the Y phase.
-    val xColNorm = new Array[Double](half)
+    val g = gramBuffer(half, attrUntil - attrFrom)
+    var i = 0
+    while (i < n) {
+      gramRow(st.xf.data, st.xb.data, i * half, st.sf.data, st.sb.data, i * d, half, attrFrom, attrUntil, g)
+      i += 1
+    }
+    val dyT = replayY(st.y, attrFrom, attrUntil, g)
+    i = 0
+    while (i < n) {
+      patchRow(st.xf.data, st.xb.data, i * half, st.sf.data, st.sb.data, i * d, dyT, attrFrom, attrUntil)
+      i += 1
+    }
+  }
+
+  /** Zeroed Grams of w attribute columns, row-major in one flat array:
+    * Gf = XfᵀSf, Gb = XbᵀSb (k/2 × w each), Hf = XfᵀXf, Hb = XbᵀXb
+    * (k/2 × k/2 each). Buffers over disjoint node sets add elementwise.
+    */
+  def gramBuffer(half: Int, w: Int): Array[Double] = new Array[Double](2 * half * w + 2 * half * half)
+
+  /** Adds node vi to the [[gramBuffer]] `g` of columns [from, until):
+    * Gf[l,·] += Xf[vi,l]·Sf[vi, from:until], Hf += Xf[vi]ᵀXf[vi], and Gb,
+    * Hb likewise. Offsets are as in [[nodeRowUpdate]] (`sOff` at column 0).
+    */
+  def gramRow(xf: Array[Double], xb: Array[Double], xOff: Int,
+              sf: Array[Double], sb: Array[Double], sOff: Int,
+              half: Int, from: Int, until: Int, g: Array[Double]): Unit = {
+    val w = until - from
+    val gbOff = half * w
+    val hfOff = 2 * gbOff
+    val hbOff = hfOff + half * half
     var l = 0
     while (l < half) {
-      var s = 0.0
-      var i = 0
-      while (i < n) {
-        val a = st.xf(i, l); val b = st.xb(i, l)
-        s += a * a + b * b
-        i += 1
+      val a = xf(xOff + l)
+      val b = xb(xOff + l)
+      val gf = l * w - from
+      val gb = gbOff + gf
+      var j = from
+      while (j < until) {
+        g(gf + j) += a * sf(sOff + j)
+        g(gb + j) += b * sb(sOff + j)
+        j += 1
       }
-      xColNorm(l) = s
+      var l2 = 0
+      while (l2 < half) {
+        g(hfOff + l * half + l2) += a * xf(xOff + l2)
+        g(hbOff + l * half + l2) += b * xb(xOff + l2)
+        l2 += 1
+      }
       l += 1
     }
-    var j = attrFrom
-    while (j < attrUntil) {
-      l = 0
+  }
+
+  /** The sequential Y-phase steps (Alg 4 Lines 10–14) for attributes
+    * [from, until), replayed on their Grams `g`: μ_y(rj,l) = (Gf[l,rj] +
+    * Gb[l,rj]) / (Hf[l,l] + Hb[l,l]), then Gf[·,rj] −= μ·Hf[·,l] and Gb
+    * likewise, as the move Sf[:,rj] −= μ·Xf[:,l] would change them. Updates
+    * those rows of `y` in place and consumes `g`. Returns the step as ΔYᵀ
+    * (k/2 × (until − from), Y_new = Y_old − ΔY) for [[patchRow]].
+    */
+  def replayY(y: DenseMatrix, from: Int, until: Int, g: Array[Double]): DenseMatrix = {
+    val half = y.cols
+    val w = until - from
+    val gbOff = half * w
+    val hfOff = 2 * gbOff
+    val hbOff = hfOff + half * half
+    val dyT = DenseMatrix.zeros(half, w)
+    var c = 0
+    while (c < w) {
+      var l = 0
       while (l < half) {
-        if (xColNorm(l) > 1e-300) {
-          // μ_y(rj,l) = (Xfᵀ[:,l]·Sf[:,rj] + Xbᵀ[:,l]·Sb[:,rj]) / (‖Xf[:,l]‖²+‖Xb[:,l]‖²)
-          var num = 0.0
-          var i = 0
-          while (i < n) {
-            num += st.xf(i, l) * st.sf.data(i * d + j) + st.xb(i, l) * st.sb.data(i * d + j)
-            i += 1
-          }
-          val mu = num / xColNorm(l)
-          st.y(j, l) = st.y(j, l) - mu
-          // Sf[:,rj] -= μ_y · Xf[:,l], Sb[:,rj] -= μ_y · Xb[:,l] (Eq 20)
-          i = 0
-          while (i < n) {
-            st.sf.data(i * d + j) -= mu * st.xf(i, l)
-            st.sb.data(i * d + j) -= mu * st.xb(i, l)
-            i += 1
+        val denom = g(hfOff + l * half + l) + g(hbOff + l * half + l)
+        if (denom > 1e-300) {
+          val mu = (g(l * w + c) + g(gbOff + l * w + c)) / denom
+          y(from + c, l) -= mu
+          dyT(l, c) = mu
+          var l2 = 0
+          while (l2 < half) {
+            g(l2 * w + c) -= mu * g(hfOff + l2 * half + l)
+            g(gbOff + l2 * w + c) -= mu * g(hbOff + l2 * half + l)
+            l2 += 1
           }
         }
         l += 1
       }
-      j += 1
+      c += 1
+    }
+    dyT
+  }
+
+  /** Eq 20 for node vi: Sf[vi, from:until] −= Xf[vi]·ΔYᵀ and Sb likewise,
+    * one coordinate at a time, in the column sweep's order. `dyT` is
+    * [[replayY]]'s result for [from, until); offsets are as in [[gramRow]].
+    */
+  def patchRow(xf: Array[Double], xb: Array[Double], xOff: Int,
+               sf: Array[Double], sb: Array[Double], sOff: Int,
+               dyT: DenseMatrix, from: Int, until: Int): Unit = {
+    val dy = dyT.data
+    var l = 0
+    while (l < dyT.rows) {
+      val a = xf(xOff + l)
+      val b = xb(xOff + l)
+      val dOff = l * dyT.cols - from
+      var j = from
+      while (j < until) {
+        val v = dy(dOff + j)
+        sf(sOff + j) -= a * v
+        sb(sOff + j) -= b * v
+        j += 1
+      }
+      l += 1
     }
   }
 

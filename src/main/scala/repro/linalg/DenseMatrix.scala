@@ -18,14 +18,6 @@ final class DenseMatrix(val rows: Int, val cols: Int, val data: Array[Double]) e
   /** Copy of row `i` as a fresh array. */
   def row(i: Int): Array[Double] = java.util.Arrays.copyOfRange(data, i * cols, (i + 1) * cols)
 
-  /** Copy of column `j` as a fresh array. */
-  def col(j: Int): Array[Double] = {
-    val out = new Array[Double](rows)
-    var i = 0
-    while (i < rows) { out(i) = data(i * cols + j); i += 1 }
-    out
-  }
-
   /** Overwrite row `i` with `v` (length must equal `cols`). */
   def setRow(i: Int, v: Array[Double]): Unit = {
     require(v.length == cols)
@@ -193,18 +185,6 @@ final class DenseMatrix(val rows: Int, val cols: Int, val data: Array[Double]) e
   def rowSlice(from: Int, until: Int): DenseMatrix =
     new DenseMatrix(until - from, cols,
       java.util.Arrays.copyOfRange(data, from * cols, until * cols))
-
-  /** Block of the given columns [from, until) — copies. */
-  def colSlice(from: Int, until: Int): DenseMatrix = {
-    val w = until - from
-    val out = DenseMatrix.zeros(rows, w)
-    var i = 0
-    while (i < rows) {
-      System.arraycopy(data, i * cols + from, out.data, i * w, w)
-      i += 1
-    }
-    out
-  }
 
   // LinOp interface: lets RandSvd treat explicit and implicit matrices alike.
   override def applyTo(x: DenseMatrix): DenseMatrix = this * x

@@ -22,11 +22,11 @@ import repro.linalg.DenseMatrix
   *    parallelism; [[SvdCcd.splitSvd]] per partition, [[SvdCcd.mergeSvd]]
   *    on the driver, per-row initialization of Xf, Xb, Sf, Sb on executors.
   *  - **PSVDCCD** (Alg 8): the X phase is a per-row map of
-  *    [[SvdCcd.nodeRowUpdate]]; the Y phase is replayed *exactly* on the
-  *    driver from aggregated small matrices Gf = XfᵀSf, Gb = XbᵀSb,
-  *    Hf = XfᵀXf, Hb = XbᵀXb — see DESIGN.md §2 for the derivation — and
-  *    the resulting ΔY is pushed back as a residual patch
-  *    Sf ← Sf − Xf·ΔYᵀ at the start of the next map.
+  *    [[SvdCcd.nodeRowUpdate]]. The Y phase is the Gram replay every
+  *    backend runs (DESIGN.md §2): each partition sums [[SvdCcd.gramRow]]
+  *    over its rows, the driver adds the partial Grams and runs
+  *    [[SvdCcd.replayY]], and the resulting ΔY is broadcast and applied
+  *    with [[SvdCcd.patchRow]] at the start of the next map.
   *
   * Block boundaries and seeds are those of [[ParallelPane]], so the result
   * matches it element by element up to floating-point summation order
@@ -180,73 +180,32 @@ object SparkPane extends Serializable {
     }.persist(StorageLevel.MEMORY_AND_DISK)
     state.count() // materialize before unpersisting parents
     aff.unpersist()
+    stage1.unpersist()
 
     // ---- PSVDCCD iterations --------------------------------------------
     var y = y0
-    var pendingDelta: DenseMatrix = null
+    var pendingDyT: DenseMatrix = null
     var it = 0
     while (it < iters) {
       val bcY = sc.broadcast(y)
-      val bcDelta = sc.broadcast(if (pendingDelta == null) Array.empty[Double] else pendingDelta.data)
+      val bcDyT = sc.broadcast(Option(pendingDyT))
       val prev = state
       state = prev.mapPartitions { rows =>
         val yv = bcY.value
-        val deltaData = bcDelta.value
+        val dyT = bcDyT.value
         val yColNorm = SvdCcd.yColNorms(yv)
         rows.map { row =>
-          if (deltaData.nonEmpty) {
-            // Patch residuals for the Y move of the previous iteration:
-            // Sf ← Sf − Xf·ΔYᵀ (Δ[j,l] = μ_y(r_j, l); Y_new = Y_old − Δ).
-            var j = 0
-            while (j < d) {
-              var accF = 0.0
-              var accB = 0.0
-              var l = 0
-              while (l < half) {
-                val dv = deltaData(j * half + l)
-                accF += row.xf(l) * dv
-                accB += row.xb(l) * dv
-                l += 1
-              }
-              row.sf(j) -= accF
-              row.sb(j) -= accB
-              j += 1
-            }
-          }
+          // The previous Y step's residual patch, deferred into this map.
+          dyT.foreach(SvdCcd.patchRow(row.xf, row.xb, 0, row.sf, row.sb, 0, _, 0, d))
           SvdCcd.nodeRowUpdate(row.xf, row.xb, 0, row.sf, row.sb, 0, yv, yColNorm)
           row
         }
       }.persist(StorageLevel.MEMORY_AND_DISK)
 
-      // Aggregate Gf|Gb (half×d) and Hf|Hb (half×half) in one flat array.
-      val gSize = half * d
-      val hSize = half * half
-      val agg = state.mapPartitions { rows =>
-        val acc = new Array[Double](2 * gSize + 2 * hSize)
-        rows.foreach { r =>
-          var l = 0
-          while (l < half) {
-            val xfl = r.xf(l)
-            val xbl = r.xb(l)
-            val gfOff = l * d
-            val gbOff = gSize + l * d
-            var j = 0
-            while (j < d) {
-              acc(gfOff + j) += xfl * r.sf(j)
-              acc(gbOff + j) += xbl * r.sb(j)
-              j += 1
-            }
-            val hfOff = 2 * gSize + l * half
-            val hbOff = 2 * gSize + hSize + l * half
-            var l2 = 0
-            while (l2 < half) {
-              acc(hfOff + l2) += xfl * r.xf(l2)
-              acc(hbOff + l2) += xbl * r.xb(l2)
-              l2 += 1
-            }
-            l += 1
-          }
-        }
+      // Per-partition Grams, summed on the driver.
+      val gram = state.mapPartitions { rows =>
+        val acc = SvdCcd.gramBuffer(half, d)
+        rows.foreach(r => SvdCcd.gramRow(r.xf, r.xb, 0, r.sf, r.sb, 0, half, 0, d, acc))
         Iterator.single(acc)
       }.reduce { (a, b) =>
         var i = 0
@@ -255,42 +214,15 @@ object SparkPane extends Serializable {
       }
       prev.unpersist()
 
-      // Exact driver replay of the sequential Y phase (Alg 4 Lines 10-14).
-      val gf = java.util.Arrays.copyOfRange(agg, 0, gSize)
-      val gb = java.util.Arrays.copyOfRange(agg, gSize, 2 * gSize)
-      val hf = new DenseMatrix(half, half, java.util.Arrays.copyOfRange(agg, 2 * gSize, 2 * gSize + hSize))
-      val hb = new DenseMatrix(half, half, java.util.Arrays.copyOfRange(agg, 2 * gSize + hSize, agg.length))
-      val newY = y.copy
-      val delta = DenseMatrix.zeros(d, half)
-      var rj = 0
-      while (rj < d) {
-        var l = 0
-        while (l < half) {
-          val denom = hf(l, l) + hb(l, l)
-          if (denom > 1e-300) {
-            val mu = (gf(l * d + rj) + gb(l * d + rj)) / denom
-            newY(rj, l) = newY(rj, l) - mu
-            delta(rj, l) = mu
-            // Patch Gf/Gb for the residual move on column rj.
-            var l2 = 0
-            while (l2 < half) {
-              gf(l2 * d + rj) -= mu * hf(l2, l)
-              gb(l2 * d + rj) -= mu * hb(l2, l)
-              l2 += 1
-            }
-          }
-          l += 1
-        }
-        rj += 1
-      }
-      y = newY
-      pendingDelta = delta
+      // Exact replay of the sequential Y phase (Alg 4 Lines 10-14) on the
+      // driver, on a copy: the broadcast Y may back persisted partitions.
+      y = y.copy
+      pendingDyT = SvdCcd.replayY(y, 0, d, gram)
       it += 1
     }
 
     val rows = state.map(r => (r.id, r.xf, r.xb)).collect()
     state.unpersist()
-    stage1.unpersist()
     val xf = DenseMatrix.zeros(n, half)
     val xb = DenseMatrix.zeros(n, half)
     rows.foreach { case (id, xfr, xbr) =>

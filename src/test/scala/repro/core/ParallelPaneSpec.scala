@@ -71,27 +71,33 @@ class ParallelPaneSpec extends AnyFunSuite {
     assert(op <= os * 1.1 + 1e-9, s"parallel objective $op vs single $os")
   }
 
+  private def copyOf(st: SvdCcd.State): SvdCcd.State =
+    SvdCcd.State(st.xf.copy, st.xb.copy, st.y.copy, st.sf.copy, st.sb.copy)
+
   test("nb = 1 PSVDCCD with shared init equals the sequential solver exactly") {
     val aff = Apmi.run(g, alpha, t)
     val init1 = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 3)
-    val init2 = SvdCcd.State(init1.xf.copy, init1.xb.copy, init1.y.copy, init1.sf.copy, init1.sb.copy)
+    val init2 = copyOf(init1)
     val single = SvdCcd.run(aff.fPrime, aff.bPrime, k, iters = 3, init = init1)
     val parallel = ParallelPane.psvdccd(aff.fPrime, aff.bPrime, k, iters = 3, nb = 1, init = init2)
-    assert((single.xf - parallel.xf).maxAbs < 1e-12)
-    assert((single.y - parallel.y).maxAbs < 1e-12)
+    assert((single.xf - parallel.xf).maxAbs == 0.0)
+    assert((single.xb - parallel.xb).maxAbs == 0.0)
+    assert((single.y - parallel.y).maxAbs == 0.0)
   }
 
   test("multi-thread PSVDCCD with shared init equals sequential exactly (phase independence)") {
     val aff = Apmi.run(g, alpha, t)
-    val init1 = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 3)
-    val init2 = SvdCcd.State(init1.xf.copy, init1.xb.copy, init1.y.copy, init1.sf.copy, init1.sb.copy)
-    val single = SvdCcd.run(aff.fPrime, aff.bPrime, k, iters = 2, init = init1)
-    val parallel = ParallelPane.psvdccd(aff.fPrime, aff.bPrime, k, iters = 2, nb = 4, init = init2)
-    // X phase updates disjoint rows, Y phase disjoint columns → identical
-    // results regardless of the thread count.
-    assert((single.xf - parallel.xf).maxAbs < 1e-12)
-    assert((single.xb - parallel.xb).maxAbs < 1e-12)
-    assert((single.y - parallel.y).maxAbs < 1e-12)
+    val init = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 3)
+    val single = SvdCcd.run(aff.fPrime, aff.bPrime, k, iters = 2, init = copyOf(init))
+    // X phase updates disjoint rows, Y phase disjoint columns, and each
+    // attribute block sums its Grams in the same node order → identical
+    // results for any thread count; nb = d + 1 gives one-column blocks.
+    for (nb <- Seq(1, 2, 4, 7, g.d + 1)) {
+      val parallel = ParallelPane.psvdccd(aff.fPrime, aff.bPrime, k, iters = 2, nb = nb, init = copyOf(init))
+      assert((single.xf - parallel.xf).maxAbs == 0.0, s"Xf at nb=$nb")
+      assert((single.xb - parallel.xb).maxAbs == 0.0, s"Xb at nb=$nb")
+      assert((single.y - parallel.y).maxAbs == 0.0, s"Y at nb=$nb")
+    }
   }
 
   test("end-to-end parallel embed quality matches single-thread (§5: small utility loss)") {

@@ -113,14 +113,94 @@ class SvdCcdSpec extends AnyFunSuite {
 
   test("attrSweep on disjoint column blocks equals one full sweep (PSVDCCD exactness)") {
     val st1 = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 3)
-    val st2 = SvdCcd.State(st1.xf.copy, st1.xb.copy, st1.y.copy, st1.sf.copy, st1.sb.copy)
+    val st2 = copyOf(st1)
     SvdCcd.attrSweep(st1, 0, aff.fPrime.cols)
     val mid = aff.fPrime.cols / 2
     // run blocks in the opposite order — must not matter
     SvdCcd.attrSweep(st2, mid, aff.fPrime.cols)
     SvdCcd.attrSweep(st2, 0, mid)
-    assert((st1.y - st2.y).maxAbs < 1e-12)
-    assert((st1.sf - st2.sf).maxAbs < 1e-12)
+    assert((st1.y - st2.y).maxAbs == 0.0)
+    assert((st1.sf - st2.sf).maxAbs == 0.0)
+    assert((st1.sb - st2.sb).maxAbs == 0.0)
+  }
+
+  /** maxAbs of a − b, relative to the largest entry of b. */
+  private def relDiff(a: DenseMatrix, b: DenseMatrix): Double = (a - b).maxAbs / math.max(b.maxAbs, 1e-300)
+
+  private def copyOf(st: SvdCcd.State): SvdCcd.State =
+    SvdCcd.State(st.xf.copy, st.xb.copy, st.y.copy, st.sf.copy, st.sb.copy)
+
+  test("attrSweep (Gram replay) matches the column-sweep oracle on full, partial and empty blocks") {
+    for (gr <- Seq(Fixtures.tiny, Fixtures.mid)) {
+      val a = Apmi.run(gr, alpha = 0.5, t = 5)
+      val (n, d) = (gr.n, gr.d)
+      val mid = d / 2
+      val inits = Seq(
+        "greedy" -> (() => SvdCcd.greedyInit(a.fPrime, a.bPrime, k, svdIters = 3)),
+        "random" -> (() => SvdCcd.randomInit(a.fPrime, a.bPrime, k, seed = 5L)))
+      for ((name, init) <- inits; (from, until) <- Seq((0, d), (0, 1), (1, mid), (mid, d), (mid, mid))) {
+        val st = init()
+        val oracle = copyOf(st)
+        for (sweep <- 1 to 3) {
+          SvdCcd.nodeSweep(st, 0, n)
+          SvdCcd.nodeSweep(oracle, 0, n)
+          SvdCcd.attrSweep(st, from, until)
+          ColumnSweepOracle.attrSweep(oracle, from, until)
+          val where = s"${gr.name}, $name init, block [$from, $until), sweep $sweep"
+          assert(relDiff(st.y, oracle.y) <= 1e-9, s"Y: $where")
+          assert(relDiff(st.sf, oracle.sf) <= 1e-9, s"Sf: $where")
+          assert(relDiff(st.sb, oracle.sb) <= 1e-9, s"Sb: $where")
+        }
+      }
+    }
+  }
+
+  test("attrSweep leaves Y[:,l] untouched when Xf[:,l] and Xb[:,l] are all zero") {
+    val st = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 3)
+    val l0 = 1
+    for (i <- 0 until st.xf.rows) { st.xf(i, l0) = 0.0; st.xb(i, l0) = 0.0 }
+    val fixed = SvdCcd.State(st.xf, st.xb, st.y,
+      st.xf.mulT(st.y) - aff.fPrime, st.xb.mulT(st.y) - aff.bPrime)
+    val oracle = copyOf(fixed)
+    val yCol0 = (0 until fixed.y.rows).map(fixed.y(_, l0))
+    for (_ <- 1 to 3) {
+      SvdCcd.attrSweep(fixed, 0, aff.fPrime.cols)
+      ColumnSweepOracle.attrSweep(oracle, 0, aff.fPrime.cols)
+    }
+    assert((0 until fixed.y.rows).map(fixed.y(_, l0)) == yCol0)
+    assert(relDiff(fixed.y, oracle.y) <= 1e-9)
+    assert(relDiff(fixed.sf, oracle.sf) <= 1e-9)
+    assert(relDiff(fixed.sb, oracle.sb) <= 1e-9)
+  }
+
+  test("Grams summed over node partitions, then replay and patch, equal one attrSweep") {
+    // SparkPane's use of the kernels: per-row arrays at offset 0, one Gram
+    // buffer per partition, buffers added on the driver.
+    val st = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 3)
+    SvdCcd.nodeSweep(st, 0, aff.fPrime.rows)
+    val parts = copyOf(st)
+    SvdCcd.attrSweep(st, 0, aff.fPrime.cols)
+    val (n, d, half) = (aff.fPrime.rows, aff.fPrime.cols, k / 2)
+    val rows = (0 until n).map(i => (parts.xf.row(i), parts.xb.row(i), parts.sf.row(i), parts.sb.row(i)))
+    val grams = Seq((0, n / 2), (n / 2, n)).map { case (from, until) =>
+      val g = SvdCcd.gramBuffer(half, d)
+      for (i <- from until until) {
+        val (xf, xb, sf, sb) = rows(i)
+        SvdCcd.gramRow(xf, xb, 0, sf, sb, 0, half, 0, d, g)
+      }
+      g
+    }
+    val gram = grams(0).zip(grams(1)).map { case (x, y) => x + y }
+    val dyT = SvdCcd.replayY(parts.y, 0, d, gram)
+    for (i <- 0 until n) {
+      val (xf, xb, sf, sb) = rows(i)
+      SvdCcd.patchRow(xf, xb, 0, sf, sb, 0, dyT, 0, d)
+      parts.sf.setRow(i, sf)
+      parts.sb.setRow(i, sb)
+    }
+    assert(relDiff(parts.y, st.y) <= 1e-12)
+    assert(relDiff(parts.sf, st.sf) <= 1e-12)
+    assert(relDiff(parts.sb, st.sb) <= 1e-12)
   }
 
   test("yColNorms matches direct computation") {

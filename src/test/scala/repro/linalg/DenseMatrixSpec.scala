@@ -72,10 +72,9 @@ class DenseMatrixSpec extends AnyFunSuite with PropSupport {
     assert((a.transpose.transpose - a).maxAbs == 0.0)
   }
 
-  test("row and col extract the right vectors") {
+  test("row extracts the right vector") {
     val a = new DenseMatrix(2, 3, Array(1, 2, 3, 4, 5, 6).map(_.toDouble))
     assert(a.row(1).toSeq == Seq(4.0, 5.0, 6.0))
-    assert(a.col(2).toSeq == Seq(3.0, 6.0))
   }
 
   test("setRow overwrites exactly one row") {
@@ -92,12 +91,10 @@ class DenseMatrixSpec extends AnyFunSuite with PropSupport {
     assert(a.colSums.toSeq == Seq(5.0, 7.0, 9.0))
   }
 
-  test("rowSlice and colSlice") {
+  test("rowSlice copies a row range") {
     val a = new DenseMatrix(3, 3, (1 to 9).map(_.toDouble).toArray)
     val rs = a.rowSlice(1, 3)
     assert(rs.rows == 2 && rs.row(0).toSeq == Seq(4.0, 5.0, 6.0))
-    val cs = a.colSlice(1, 2)
-    assert(cs.cols == 1 && cs.col(0).toSeq == Seq(2.0, 5.0, 8.0))
   }
 
   test("vstack stacks blocks in order") {
